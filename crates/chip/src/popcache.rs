@@ -17,36 +17,31 @@
 //! resident; an evicted population stays alive for as long as any
 //! caller still holds its `Arc`.
 //!
-//! Hit/miss/eviction counts land in the telemetry registry under
-//! `chip.popcache.*`, so `GET /metrics` shows cache effectiveness.
+//! The cache is a [`Memo`]: concurrent misses on one key fabricate
+//! once, and hit/miss/eviction/entry counts land in the telemetry
+//! registry under `chip.popcache.*`, so `GET /metrics` shows cache
+//! effectiveness.
 
 use crate::chip::Chip;
 use crate::topology::Topology;
 use accordion_stats::field::FieldError;
 use accordion_stats::rng::SeedStream;
-use accordion_telemetry::{counter, gauge};
+use accordion_telemetry::memo::Memo;
 use accordion_varius::params::VariationParams;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// Maximum number of resident populations before LRU eviction.
 pub const CAPACITY: usize = 8;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PopKey {
     topo: Topology,
     seed: u64,
     count: usize,
 }
 
-/// Most-recently-used entry last; `Vec` beats a map at this size and
-/// keeps the LRU order explicit.
-type Shelf = Vec<(PopKey, Arc<Vec<Chip>>)>;
-
-static CACHE: OnceLock<Mutex<Shelf>> = OnceLock::new();
-
-fn shelf() -> &'static Mutex<Shelf> {
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
+static POPULATIONS: LazyLock<Memo<PopKey, Vec<Chip>, FieldError>> =
+    LazyLock::new(|| Memo::new("chip.popcache", CAPACITY));
 
 /// Returns chips `0..count` of the population `(topo, seed)`, reusing
 /// a cached population when one is resident.
@@ -56,9 +51,8 @@ fn shelf() -> &'static Mutex<Shelf> {
 /// the default [`VariationParams`] — byte-identical simulation results
 /// are preserved because the cache only memoizes, never re-seeds.
 /// Fabrication on a miss runs *outside* the cache lock, so concurrent
-/// warm lookups are never blocked behind a cold one; two concurrent
-/// misses on the same key may both fabricate, in which case the first
-/// insertion wins and both callers observe identical chips.
+/// warm lookups are never blocked behind a cold one; concurrent misses
+/// on the same key wait for one fabrication.
 ///
 /// # Errors
 ///
@@ -91,71 +85,28 @@ pub fn population_with_status(
     seed: u64,
     count: usize,
 ) -> Result<(Arc<Vec<Chip>>, bool), FieldError> {
-    let key = PopKey { topo, seed, count };
-    if let Some(pop) = lookup(&key) {
-        counter!("chip.popcache.hits").inc();
-        return Ok((pop, true));
-    }
-    counter!("chip.popcache.misses").inc();
-    let chips = Chip::fabricate_population(
-        topo,
-        &VariationParams::default(),
-        SeedStream::new(seed),
-        0,
-        count,
-    )?;
-    Ok((insert(key, Arc::new(chips)), false))
+    let (pop, hit) = POPULATIONS.fetch(PopKey { topo, seed, count }, || {
+        Chip::fabricate_population(
+            topo,
+            &VariationParams::default(),
+            SeedStream::new(seed),
+            0,
+            count,
+        )
+    });
+    Ok((pop?, hit))
 }
 
-/// Lifetime hit/miss counts `(hits, misses)` from the telemetry
-/// registry — the numbers behind the `/metrics` hit-ratio gauge.
+/// Lifetime hit/miss counts `(hits, misses)` — the numbers behind the
+/// `/metrics` hit-ratio gauge.
 pub fn stats() -> (u64, u64) {
-    let reg = accordion_telemetry::registry::global();
-    (
-        reg.counter("chip.popcache.hits").get(),
-        reg.counter("chip.popcache.misses").get(),
-    )
+    let s = POPULATIONS.stats();
+    (s.hits, s.misses)
 }
 
 /// Number of resident populations (for tests and health reporting).
 pub fn len() -> usize {
-    shelf().lock().expect("popcache lock").len()
-}
-
-/// Drops every resident population (tests only; in-flight `Arc`s keep
-/// their populations alive).
-pub fn clear() {
-    shelf().lock().expect("popcache lock").clear();
-    gauge!("chip.popcache.entries").set(0.0);
-}
-
-fn lookup(key: &PopKey) -> Option<Arc<Vec<Chip>>> {
-    let mut shelf = shelf().lock().expect("popcache lock");
-    let idx = shelf.iter().position(|(k, _)| k == key)?;
-    // Refresh recency: move the hit to the back.
-    let entry = shelf.remove(idx);
-    let pop = entry.1.clone();
-    shelf.push(entry);
-    Some(pop)
-}
-
-fn insert(key: PopKey, pop: Arc<Vec<Chip>>) -> Arc<Vec<Chip>> {
-    let mut shelf = shelf().lock().expect("popcache lock");
-    // A concurrent miss may have inserted the same key while we were
-    // fabricating; keep the resident Arc so hits stay pointer-equal.
-    if let Some(idx) = shelf.iter().position(|(k, _)| k == &key) {
-        let entry = shelf.remove(idx);
-        let existing = entry.1.clone();
-        shelf.push(entry);
-        return existing;
-    }
-    while shelf.len() >= CAPACITY {
-        shelf.remove(0);
-        counter!("chip.popcache.evictions").inc();
-    }
-    shelf.push((key, pop.clone()));
-    gauge!("chip.popcache.entries").set(shelf.len() as f64);
-    pop
+    POPULATIONS.len()
 }
 
 #[cfg(test)]

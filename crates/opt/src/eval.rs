@@ -9,9 +9,8 @@
 //!   is the expensive part of an evaluation, and adjacent candidates
 //!   (a bisection step, a mutated neighbour) usually share a supply.
 //!   Contexts are keyed by integer millivolts and kept in a small
-//!   LRU, the reuse ROADMAP item 5 anticipated; `OperatingTimings::at`
-//!   is a pure function of `(chip, vdd)`, so eviction can never change
-//!   a result.
+//!   LRU [`Memo`] (`opt.ctx_cache.*`); `OperatingTimings::at` is a pure
+//!   function of `(chip, vdd)`, so eviction can never change a result.
 //! * a **candidate memo** — the NSGA-II loop revisits operating points
 //!   constantly (elitism keeps parents around; mutation often lands on
 //!   a previous candidate). The memo makes a repeat evaluation a hash
@@ -35,6 +34,7 @@ use accordion_chip::popcache;
 use accordion_chip::topology::Topology;
 use accordion_sim::exec::ExecModel;
 use accordion_telemetry::counter;
+use accordion_telemetry::memo::Memo;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -85,12 +85,6 @@ impl OperatingPoint {
     }
 }
 
-/// Bounded LRU of per-supply timing contexts, keyed by millivolts.
-struct CtxCache {
-    map: HashMap<u32, Arc<OperatingTimings>>,
-    order: Vec<u32>,
-}
-
 /// Deterministic, cached candidate evaluator for one `(population,
 /// chip, app)` binding.
 pub struct Evaluator {
@@ -100,12 +94,11 @@ pub struct Evaluator {
     quality: QualityModel,
     exec: ExecModel,
     baseline: StvBaseline,
-    ctxs: Mutex<CtxCache>,
+    /// Per-supply timing contexts, keyed by millivolts.
+    ctxs: Memo<u32, OperatingTimings>,
     memo: Mutex<HashMap<Candidate, OperatingPoint>>,
     evals: AtomicU64,
     memo_hits: AtomicU64,
-    ctx_hits: AtomicU64,
-    ctx_misses: AtomicU64,
 }
 
 impl Evaluator {
@@ -152,15 +145,10 @@ impl Evaluator {
             quality,
             exec,
             baseline,
-            ctxs: Mutex::new(CtxCache {
-                map: HashMap::new(),
-                order: Vec::new(),
-            }),
+            ctxs: Memo::new("opt.ctx_cache", CTX_CAPACITY),
             memo: Mutex::new(HashMap::new()),
             evals: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
-            ctx_hits: AtomicU64::new(0),
-            ctx_misses: AtomicU64::new(0),
         })
     }
 
@@ -186,47 +174,23 @@ impl Evaluator {
 
     /// `(fresh evaluations, memo hits, ctx hits, ctx misses)` so far.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
+        let ctx = self.ctxs.stats();
         (
             self.evals.load(Ordering::Relaxed),
             self.memo_hits.load(Ordering::Relaxed),
-            self.ctx_hits.load(Ordering::Relaxed),
-            self.ctx_misses.load(Ordering::Relaxed),
+            ctx.hits,
+            ctx.misses,
         )
     }
 
     /// The per-supply timing context for `vdd_mv`, derived at most
-    /// once while it stays in the LRU window.
+    /// once while it stays in the LRU window. Derivation runs outside
+    /// the cache lock: a 288-core context must not serialize the whole
+    /// worker pool.
     fn ctx(&self, vdd_mv: u32) -> Arc<OperatingTimings> {
-        let mut cache = self.ctxs.lock().expect("ctx cache lock");
-        if let Some(ctx) = cache.map.get(&vdd_mv) {
-            let ctx = ctx.clone();
-            cache.order.retain(|&mv| mv != vdd_mv);
-            cache.order.push(vdd_mv);
-            drop(cache);
-            self.ctx_hits.fetch_add(1, Ordering::Relaxed);
-            counter!("opt.ctx_cache.hits").inc();
-            return ctx;
-        }
-        // Derive outside the lock: a 288-core context derivation must
-        // not serialize the whole worker pool. A racing duplicate is
-        // deterministic, so either insertion wins identically.
-        drop(cache);
-        self.ctx_misses.fetch_add(1, Ordering::Relaxed);
-        counter!("opt.ctx_cache.misses").inc();
-        let ctx = Arc::new(OperatingTimings::at(
-            self.chip(),
-            f64::from(vdd_mv) / 1000.0,
-        ));
-        let mut cache = self.ctxs.lock().expect("ctx cache lock");
-        if cache.order.len() >= CTX_CAPACITY && !cache.map.contains_key(&vdd_mv) {
-            let oldest = cache.order.remove(0);
-            cache.map.remove(&oldest);
-        }
-        let entry = cache.map.entry(vdd_mv).or_insert_with(|| ctx.clone());
-        let entry = entry.clone();
-        cache.order.retain(|&mv| mv != vdd_mv);
-        cache.order.push(vdd_mv);
-        entry
+        self.ctxs.get_or_insert_with(vdd_mv, || {
+            OperatingTimings::at(self.chip(), f64::from(vdd_mv) / 1000.0)
+        })
     }
 
     /// Evaluates one candidate, bypassing the memo. Pure function of

@@ -18,14 +18,17 @@
 //!    context once per `Vdd` row and shares it across the grid;
 //! 3. **protocol** — [`run_app`] drives the CC/DC rounds at the
 //!    speculative error rate, yielding drop/watchdog outcomes;
-//! 4. **quality** — per-app [`QualityModel`]s (measured once per
-//!    process, cached) interpolate the Figure 2/4 fronts;
+//! 4. **quality** — per-app [`QualityModel`]s interpolate the Figure
+//!    2/4 fronts, measured once per process by the
+//!    [`FrontSet::measured`](accordion_apps::harness::FrontSet::measured)
+//!    cache;
 //! 5. **energy** — the chip power model prices the active cores at the
 //!    operating point.
 //!
 //! Every response is rendered with the deterministic
 //! [`accordion_telemetry::json`] renderer, so identical queries return
-//! byte-identical bodies at any worker count.
+//! byte-identical bodies at any worker count — which is what lets the
+//! server memoize rendered responses (see [`crate::server`]).
 
 use accordion::quality::QualityModel;
 use accordion_apps::app::all_apps;
@@ -39,18 +42,12 @@ use accordion_stats::rng::SeedStream;
 use accordion_telemetry::event::SimEvent;
 use accordion_telemetry::json::Json;
 use accordion_telemetry::{counter, flight, flight_track, span};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Upper bound on `chips` per query (bounds memory per cache entry).
 const MAX_CHIPS: usize = 100;
 /// Upper bound on a sweep's grid size.
 const MAX_GRID: usize = 1024;
-/// Rendered-response memo capacity (FIFO eviction). Sized so a burst
-/// of identical queries — the coalescing target — always hits, while
-/// the worst case stays a few MB of JSON.
-const MEMO_CAPACITY: usize = 256;
 
 /// A validated simulation query.
 #[derive(Debug, Clone)]
@@ -170,7 +167,7 @@ fn int_field(doc: &Json, key: &str, default: f64) -> Result<f64, String> {
 }
 
 /// Errors a valid query can still hit while executing.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum EngineError {
     /// Client-side problem discovered during execution → 400.
     Bad(String),
@@ -178,31 +175,13 @@ pub enum EngineError {
     Internal(String),
 }
 
-/// Per-app quality models, measured once per process. Front
-/// measurement runs the real kernels (seconds of work), which is
-/// exactly the state a long-lived service exists to amortize.
-fn quality_for(app_name: &str) -> Arc<QualityModel> {
-    static MODELS: OnceLock<Mutex<HashMap<String, Arc<QualityModel>>>> = OnceLock::new();
-    let models = MODELS.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(m) = models.lock().expect("quality cache lock").get(app_name) {
-        counter!("served.quality_cache.hits").inc();
-        return m.clone();
-    }
-    counter!("served.quality_cache.misses").inc();
-    // Measure outside the lock: a cold canneal query must not block a
-    // warm hotspot one. A racing duplicate measure is deterministic,
-    // so whichever insertion wins, the model is the same.
+/// The interpolated quality model of a validated app name.
+fn quality_model(app_name: &str) -> QualityModel {
     let app = all_apps()
         .into_iter()
         .find(|a| a.name() == app_name)
         .expect("validated app name");
-    let measured = Arc::new(QualityModel::measure(app.as_ref()));
-    models
-        .lock()
-        .expect("quality cache lock")
-        .entry(app_name.to_string())
-        .or_insert(measured)
-        .clone()
+    QualityModel::measure(app.as_ref())
 }
 
 /// Answers one simulation query. See the module docs for the pipeline.
@@ -225,18 +204,23 @@ pub fn simulate(q: &SimQuery) -> Result<Json, EngineError> {
     let chip = &pop[q.chip];
     let vdd_v = q.vdd_mv.map_or(chip.vdd_ntv_v(), |mv| mv / 1000.0);
     let ctx = OperatingTimings::at(chip, vdd_v);
-    simulate_at(q, chip, &ctx)
+    simulate_at(q, chip, &ctx, &quality_model(&q.app))
 }
 
 /// The per-point core of [`simulate`]: everything downstream of the
 /// population lookup and per-supply timing derivation, so a sweep can
 /// hoist both and share one [`OperatingTimings`] across every grid
 /// cell at the same `Vdd`. `ctx` must have been derived from `chip`
-/// at the query's operating supply.
-fn simulate_at(q: &SimQuery, chip: &Chip, ctx: &OperatingTimings) -> Result<Json, EngineError> {
+/// at the query's operating supply, and `quality` is the query app's
+/// model.
+fn simulate_at(
+    q: &SimQuery,
+    chip: &Chip,
+    ctx: &OperatingTimings,
+    quality: &QualityModel,
+) -> Result<Json, EngineError> {
     let _span = span!("served.engine.simulate");
     counter!("served.engine.simulations").inc();
-    let quality = quality_for(&q.app);
     let app = all_apps()
         .into_iter()
         .find(|a| a.name() == q.app)
@@ -337,100 +321,12 @@ fn simulate_at(q: &SimQuery, chip: &Chip, ctx: &OperatingTimings) -> Result<Json
     ]))
 }
 
-// ---------------------------------------------------------------------------
-// Cross-connection coalescing: singleflight + rendered-response memo.
-// ---------------------------------------------------------------------------
-
-/// What a flight publishes: the rendered body, or an error whose
-/// `bad` flag lets joiners reconstruct the right [`EngineError`]
-/// class (and therefore the right HTTP status).
-type FlightOutcome = Result<Arc<str>, (bool, String)>;
-
-/// One in-flight evaluation other requests can latch onto. The leader
-/// publishes into `slot` and notifies; joiners block on the condvar.
-struct Flight {
-    slot: Mutex<Option<FlightOutcome>>,
-    done: Condvar,
-}
-
-/// Publishes a failure if the leader unwinds before publishing a
-/// result — joiners must never hang on a panicked leader.
-struct FlightGuard<'a> {
-    key: &'a str,
-    flight: &'a Arc<Flight>,
-    armed: bool,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        inflight()
-            .lock()
-            .expect("singleflight map poisoned")
-            .remove(self.key);
-        let mut slot = self.flight.slot.lock().expect("flight slot poisoned");
-        if slot.is_none() {
-            *slot = Some(Err((false, "simulation panicked".to_string())));
-        }
-        drop(slot);
-        self.flight.done.notify_all();
-    }
-}
-
-fn inflight() -> &'static Mutex<HashMap<String, Arc<Flight>>> {
-    static MAP: OnceLock<Mutex<HashMap<String, Arc<Flight>>>> = OnceLock::new();
-    MAP.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Bounded FIFO memo of rendered responses. Entries are immutable
-/// (identical query ⇒ byte-identical body, the determinism the test
-/// suite pins), so eviction order does not affect correctness.
-struct Memo {
-    map: HashMap<String, Arc<str>>,
-    order: VecDeque<String>,
-}
-
-fn memo() -> &'static Mutex<Memo> {
-    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
-    MEMO.get_or_init(|| {
-        Mutex::new(Memo {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        })
-    })
-}
-
-/// Every field of the query, canonically rendered. Floats go through
-/// `to_bits` so `0.5` and `0.5000…01` never alias.
-fn coalesce_key(q: &SimQuery) -> String {
-    format!(
-        "{}|{}|{:x}|{}|{}|{}|{}|{}|{}|{}|{:x}",
-        q.app,
-        if q.topo == Topology::small() {
-            "small"
-        } else {
-            "default"
-        },
-        q.size.to_bits(),
-        q.vdd_mv
-            .map_or_else(|| "ntv".to_string(), |v| format!("{:x}", v.to_bits())),
-        q.pop_seed,
-        q.seed,
-        q.chips,
-        q.chip,
-        q.dcs,
-        q.iterations,
-        q.drop_target.to_bits()
-    )
-}
-
-/// Marks the current request as answered by coalescing: the metric the
-/// dashboards watch, the access-log `cache` field, and a trace span
-/// (so a coalesced request's flight track shows where its latency
-/// went — waiting on the leader, not simulating). Also used by the
-/// server's route-layer raw-body replay, which fronts this memo.
+/// Marks the current request as answered by coalescing onto an
+/// identical in-flight or memoized evaluation (the server's response
+/// memo): the metric the dashboards watch, the access-log `cache`
+/// field, and a trace span (so a coalesced request's flight track
+/// shows where its latency went — waiting on the leader, not
+/// simulating).
 pub(crate) fn note_coalesced(us: u64) {
     counter!("served.coalesced").inc();
     crate::obs::note_cache(true);
@@ -439,122 +335,6 @@ pub(crate) fn note_coalesced(us: u64) {
         stage: "serve.coalesced",
         us,
     });
-}
-
-/// [`simulate`], rendered — with cross-connection coalescing.
-///
-/// Identical queries collapse: concurrent duplicates join the one
-/// in-flight evaluation (singleflight) and recent results are replayed
-/// from a bounded memo, so a thundering herd of the same operating
-/// point costs one simulation however many connections ask. Joined and
-/// memoized answers increment `served_coalesced_total` and log
-/// `cache:"hit"`. Determinism makes this safe: the engine is a pure
-/// function of the query, so a replayed body is byte-identical to a
-/// fresh one (pinned by `tests/coalesce.rs`).
-///
-/// # Errors
-///
-/// As [`simulate`]. Errors are published to concurrent joiners (they
-/// fail with the leader) but never memoized — the next request retries.
-pub fn simulate_rendered(q: &SimQuery) -> Result<Arc<str>, EngineError> {
-    coalesced_rendered(coalesce_key(q), || simulate(q).map(|doc| doc.render()))
-}
-
-/// [`sweep`], rendered — with the same cross-connection coalescing as
-/// [`simulate_rendered`]. The key is the canonical rendering of the
-/// parsed request document: two requests that parse to the same JSON
-/// describe the same grid, and the sweep is a pure function of it
-/// (worker count never changes the bytes — the determinism contract).
-///
-/// # Errors
-///
-/// As [`sweep`]; errors propagate to joiners but are never memoized.
-pub fn sweep_rendered(doc: &Json, workers: usize) -> Result<Arc<str>, EngineError> {
-    coalesced_rendered(format!("sweep|{}", doc.render()), || {
-        sweep(doc, workers).map(|d| d.render())
-    })
-}
-
-/// The singleflight + memo core shared by the rendered entry points:
-/// memo hit → replay; join an in-flight leader if one exists; otherwise
-/// lead, evaluate, publish, memoize.
-fn coalesced_rendered(
-    key: String,
-    eval: impl FnOnce() -> Result<String, EngineError>,
-) -> Result<Arc<str>, EngineError> {
-    let started = Instant::now();
-    if let Some(hit) = memo().lock().expect("memo poisoned").map.get(&key).cloned() {
-        note_coalesced(started.elapsed().as_micros() as u64);
-        return Ok(hit);
-    }
-    let (flight, leader) = {
-        let mut map = inflight().lock().expect("singleflight map poisoned");
-        match map.get(&key) {
-            Some(f) => (f.clone(), false),
-            None => {
-                let f = Arc::new(Flight {
-                    slot: Mutex::new(None),
-                    done: Condvar::new(),
-                });
-                map.insert(key.clone(), f.clone());
-                (f, true)
-            }
-        }
-    };
-    if !leader {
-        // Join the in-flight evaluation.
-        let mut slot = flight.slot.lock().expect("flight slot poisoned");
-        while slot.is_none() {
-            slot = flight.done.wait(slot).expect("flight slot poisoned");
-        }
-        let result = slot.clone().expect("loop exits only when published");
-        drop(slot);
-        return match result {
-            Ok(body) => {
-                note_coalesced(started.elapsed().as_micros() as u64);
-                Ok(body)
-            }
-            Err((true, msg)) => Err(EngineError::Bad(msg)),
-            Err((false, msg)) => Err(EngineError::Internal(msg)),
-        };
-    }
-    // Leader: evaluate, publish, memoize. The guard keeps joiners from
-    // hanging if `simulate` panics (the server answers the leader 500).
-    let mut guard = FlightGuard {
-        key: &key,
-        flight: &flight,
-        armed: true,
-    };
-    let outcome = eval();
-    let (published, returned) = match outcome {
-        Ok(rendered) => {
-            let body: Arc<str> = Arc::from(rendered);
-            let mut m = memo().lock().expect("memo poisoned");
-            if !m.map.contains_key(&key) {
-                if m.order.len() >= MEMO_CAPACITY {
-                    if let Some(old) = m.order.pop_front() {
-                        m.map.remove(&old);
-                    }
-                }
-                m.map.insert(key.clone(), body.clone());
-                m.order.push_back(key.clone());
-            }
-            drop(m);
-            (Ok(body.clone()), Ok(body))
-        }
-        Err(EngineError::Bad(msg)) => (Err((true, msg.clone())), Err(EngineError::Bad(msg))),
-        Err(EngineError::Internal(msg)) => {
-            (Err((false, msg.clone())), Err(EngineError::Internal(msg)))
-        }
-    };
-    inflight()
-        .lock()
-        .expect("singleflight map poisoned")
-        .remove(&key);
-    *flight.slot.lock().expect("flight slot poisoned") = Some(published);
-    flight.done.notify_all();
-    guard.armed = false;
-    returned
 }
 
 /// Whole-chip power with every core active at `f_ghz` and `vdd_v`
@@ -633,9 +413,9 @@ pub fn sweep(doc: &Json, workers: usize) -> Result<Json, EngineError> {
         }
     }
 
-    // Warm the shared state sequentially (population + quality fronts)
-    // so the fan-out below is pure per-point work.
-    let _ = quality_for(&base.app);
+    // Resolve the shared state once (quality model + population) so
+    // the fan-out below is pure per-point work.
+    let quality = quality_model(&base.app);
     let cache_started = Instant::now();
     let (pop, cache_hit) =
         popcache::population_with_status(base.topo, base.pop_seed, base.chips)
@@ -685,7 +465,7 @@ pub fn sweep(doc: &Json, workers: usize) -> Result<Json, EngineError> {
         } else {
             flight_track!("sweep/point{}", i)
         };
-        simulate_at(&grid[i], chip, &ctxs[i / sizes.len()])
+        simulate_at(&grid[i], chip, &ctxs[i / sizes.len()], &quality)
     });
     let fanout_us = fanout_started.elapsed().as_micros() as u64;
     accordion_telemetry::event::advance_sim(fanout_us);
@@ -850,7 +630,7 @@ pub fn optimize_request_from_json(doc: &Json) -> Result<accordion_opt::OptimizeR
 /// seeded NSGA-II loop in `accordion-opt`, sharing the process-wide
 /// population/quality caches with the other routes. The report is a
 /// pure function of the request document (see `accordion_opt::report`),
-/// which is what makes the coalescing in [`optimize_rendered`] sound.
+/// which is what makes memoizing its rendered response sound.
 ///
 /// # Errors
 ///
@@ -867,21 +647,6 @@ pub fn optimize(doc: &Json, workers: usize) -> Result<Json, EngineError> {
         } else {
             EngineError::Bad(msg)
         }
-    })
-}
-
-/// [`optimize`], rendered — with the same cross-connection coalescing
-/// as [`sweep_rendered`]: the key is the canonical rendering of the
-/// parsed request document, and the optimizer's byte-determinism
-/// contract (same request ⇒ same bytes at any worker count) makes
-/// replaying a memoized body indistinguishable from re-searching.
-///
-/// # Errors
-///
-/// As [`optimize`]; errors propagate to joiners but are never memoized.
-pub fn optimize_rendered(doc: &Json, workers: usize) -> Result<Arc<str>, EngineError> {
-    coalesced_rendered(format!("optimize|{}", doc.render()), || {
-        optimize(doc, workers).map(|d| d.render())
     })
 }
 
@@ -991,7 +756,7 @@ mod tests {
     }
 
     #[test]
-    fn optimize_is_deterministic_and_coalesces() {
+    fn optimize_is_deterministic_across_worker_counts() {
         let doc = json::parse(
             r#"{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 9104,
                 "seed": 5, "population": 8, "generations": 2, "scout_steps": 2,
@@ -1006,14 +771,6 @@ mod tests {
             parsed.get("grid_check").and_then(|g| g.get("dominated")),
             Some(&Json::Bool(true))
         );
-        // The rendered path replays the memo for an identical document.
-        let first = optimize_rendered(&doc, 2).unwrap();
-        let second = optimize_rendered(&doc, 2).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "second call must be a memo hit"
-        );
-        assert_eq!(first.as_ref(), a);
     }
 
     #[test]

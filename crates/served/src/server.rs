@@ -31,11 +31,12 @@ use crate::reactor::{PollSet, WakeHandle, Waker};
 use accordion_chip::popcache;
 use accordion_telemetry::alerts::{self, AlertSet};
 use accordion_telemetry::event::SimEvent;
+use accordion_telemetry::memo::Memo;
 use accordion_telemetry::registry::exponential_bounds;
 use accordion_telemetry::rolling::RollingHistogram;
 use accordion_telemetry::tsdb::Tsdb;
 use accordion_telemetry::{counter, flight, flight_track, histogram, json, prom, sink};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -189,59 +190,23 @@ struct Shared {
     started: Instant,
     /// JSONL access log, when configured.
     log: Option<AccessLog>,
-    /// Route-layer replay memo: exact `(route, body-bytes)` of an
-    /// already-answered simulate/sweep → its rendered `200` body. A
-    /// hit skips JSON parsing and query validation entirely; it is
-    /// sound for the same reason the engine memo is (the engine is a
-    /// pure function of the request, so the replay is byte-identical)
-    /// and counts as a coalesced answer in the metrics/log.
-    raw_memo: Mutex<RawMemo>,
+    /// Response memo: `(route, body bytes)` of a simulate, sweep or
+    /// optimize request → its rendered `200` body. A hit skips JSON
+    /// parsing and query validation entirely; concurrent identical
+    /// requests wait on one evaluation, and errors reach those waiters
+    /// but are never memoized. Sound because the engine is a pure
+    /// function of the request, so a replay is byte-identical.
+    memo: Memo<(&'static str, Vec<u8>), String, EngineError>,
     /// Self-scrape history store behind `/v1/timeseries`.
     tsdb: Arc<Tsdb>,
     /// Alert rules + evaluation state behind `/v1/alerts`.
     alerts: Mutex<AlertSet>,
 }
 
-/// Bounded FIFO map behind [`Shared::raw_memo`]. Only successful
-/// (`200`) bodies enter; errors always re-evaluate. Nested by route so
-/// the hot lookup probes with the borrowed body slice (`Vec<u8>:
-/// Borrow<[u8]>`) — no allocation on a hit.
-#[derive(Default)]
-struct RawMemo {
-    map: HashMap<&'static str, HashMap<Vec<u8>, Arc<str>>>,
-    order: VecDeque<(&'static str, Vec<u8>)>,
-}
-
-/// Entry cap for [`RawMemo`] — matches the engine memo's bound.
-const RAW_MEMO_CAPACITY: usize = 256;
-
-impl RawMemo {
-    fn get(&self, route: &'static str, body: &[u8]) -> Option<Arc<str>> {
-        self.map.get(route)?.get(body).cloned()
-    }
-
-    fn put(&mut self, route: &'static str, body: &[u8], rendered: Arc<str>) {
-        if self
-            .map
-            .get(route)
-            .is_some_and(|per_route| per_route.contains_key(body))
-        {
-            return;
-        }
-        if self.order.len() >= RAW_MEMO_CAPACITY {
-            if let Some((r, b)) = self.order.pop_front() {
-                if let Some(per_route) = self.map.get_mut(r) {
-                    per_route.remove(&b);
-                }
-            }
-        }
-        self.map
-            .entry(route)
-            .or_default()
-            .insert(body.to_vec(), rendered);
-        self.order.push_back((route, body.to_vec()));
-    }
-}
+/// Entries in [`Shared::memo`]: a burst of identical queries — the
+/// coalescing target — always hits, while the worst case stays a few
+/// MB of JSON.
+const MEMO_CAP: usize = 256;
 
 impl Shared {
     /// Flips the stop flag, wakes the workers, and interrupts the
@@ -366,7 +331,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         shed: AtomicU64::new(0),
         started: Instant::now(),
         log,
-        raw_memo: Mutex::new(RawMemo::default()),
+        memo: Memo::new("served.memo", MEMO_CAP),
         tsdb: Arc::new(Tsdb::new()),
         alerts: Mutex::new(AlertSet::new(rules)),
     });
@@ -1146,6 +1111,19 @@ fn describe_metrics() {
         "served.coalesced",
         "simulate requests answered by coalescing onto an identical in-flight or memoized evaluation",
     );
+    reg.describe(
+        "served.memo.hits",
+        "requests answered from the response memo without evaluating",
+    );
+    reg.describe("served.memo.misses", "requests the response memo evaluated");
+    reg.describe(
+        "served.memo.evictions",
+        "rendered responses evicted from the LRU response memo",
+    );
+    reg.describe(
+        "served.memo.entries",
+        "rendered responses currently memoized",
+    );
     reg.describe("served.uptime.seconds", "seconds since the server started");
     reg.describe(
         "served.popcache.hit_ratio",
@@ -1345,8 +1323,6 @@ fn refresh_gauges(shared: &Shared) {
     } else {
         0.0
     });
-    reg.gauge("varius.sampler_cache.entries")
-        .set(accordion_varius::vmap::sampler_cache_len() as f64);
 }
 
 /// Renders `/metrics`: refreshes the point-in-time serving gauges,
@@ -1521,99 +1497,60 @@ fn list_artifacts(shared: &Shared) -> Response {
     Response::json(200, doc.render())
 }
 
-fn parse_body(req: &Request) -> Result<json::Json, Response> {
-    let text =
-        std::str::from_utf8(&req.body).map_err(|_| Response::error(400, "body is not UTF-8"))?;
+/// The request body as JSON (empty → `{}`), or the `400` message.
+fn parse_body(req: &Request) -> Result<json::Json, String> {
+    let text = std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8".to_string())?;
     if text.trim().is_empty() {
         return Ok(json::Json::Obj(Vec::new()));
     }
-    json::parse(text).map_err(|e| Response::error(400, &format!("body is not JSON: {e}")))
+    json::parse(text).map_err(|e| format!("body is not JSON: {e}"))
 }
 
-/// Replays an already-answered body for `route` straight from the
-/// raw-body memo, accounting it as a coalesced answer. `None` means
-/// the request must go through parse + engine.
-fn raw_replay(shared: &Shared, route: &'static str, req: &Request) -> Option<Response> {
+/// Answers a memoized route: the rendered body for these exact body
+/// bytes from [`Shared::memo`], or `eval` of the parsed body. A
+/// request that did not evaluate itself (a memo hit, or a join onto an
+/// identical in-flight request) is counted as coalesced.
+fn memoized(
+    shared: &Shared,
+    route: &'static str,
+    req: &Request,
+    eval: impl FnOnce(&json::Json) -> Result<json::Json, EngineError>,
+) -> Response {
     let started = Instant::now();
-    let hit = shared
-        .raw_memo
-        .lock()
-        .expect("raw memo poisoned")
-        .get(route, &req.body)?;
-    engine::note_coalesced(started.elapsed().as_micros() as u64);
-    Some(Response::json(200, hit.as_ref().to_owned()))
-}
-
-fn raw_store(shared: &Shared, route: &'static str, req: &Request, rendered: Arc<str>) {
-    shared
-        .raw_memo
-        .lock()
-        .expect("raw memo poisoned")
-        .put(route, &req.body, rendered);
+    let (body, hit) = shared.memo.fetch((route, req.body.clone()), || {
+        let doc = parse_body(req).map_err(EngineError::Bad)?;
+        eval(&doc).map(|d| d.render())
+    });
+    match body {
+        Ok(body) => {
+            if hit {
+                engine::note_coalesced(started.elapsed().as_micros() as u64);
+            }
+            Response::json(200, body.as_ref().clone())
+        }
+        Err(e) => engine_error(&e),
+    }
 }
 
 fn simulate(shared: &Shared, req: &Request) -> Response {
-    if let Some(resp) = raw_replay(shared, "simulate", req) {
-        return resp;
-    }
-    let doc = match parse_body(req) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    let query = match SimQuery::from_json(&doc) {
-        Ok(q) => q,
-        Err(msg) => return Response::error(400, &msg),
-    };
-    // The rendered-and-coalesced path: identical concurrent queries
-    // collapse onto one evaluation (see `engine::simulate_rendered`).
-    match engine::simulate_rendered(&query) {
-        Ok(body) => {
-            raw_store(shared, "simulate", req, body.clone());
-            Response::json(200, body.as_ref().to_owned())
-        }
-        Err(e) => engine_error(&e),
-    }
+    memoized(shared, "simulate", req, |doc| {
+        engine::simulate(&SimQuery::from_json(doc).map_err(EngineError::Bad)?)
+    })
 }
 
+// Sweeps and optimizer searches are pure functions of the request
+// document too (worker count never changes the bytes), so they share
+// the memo with simulates.
 fn sweep(shared: &Shared, req: &Request) -> Response {
-    if let Some(resp) = raw_replay(shared, "sweep", req) {
-        return resp;
-    }
-    let doc = match parse_body(req) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    // Sweeps coalesce exactly like single simulates: the grid is a
-    // pure function of the request document, so identical concurrent
-    // sweeps collapse onto one fan-out and repeats replay the memo.
-    match engine::sweep_rendered(&doc, shared.cfg.request_jobs) {
-        Ok(body) => {
-            raw_store(shared, "sweep", req, body.clone());
-            Response::json(200, body.as_ref().to_owned())
-        }
-        Err(e) => engine_error(&e),
-    }
+    memoized(shared, "sweep", req, |doc| {
+        engine::sweep(doc, shared.cfg.request_jobs)
+    })
 }
 
 fn optimize(shared: &Shared, req: &Request) -> Response {
-    if let Some(resp) = raw_replay(shared, "optimize", req) {
-        return resp;
-    }
-    let doc = match parse_body(req) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    // The optimizer report is a pure function of the request document
-    // (the accordion-opt determinism contract), so optimize requests
-    // coalesce exactly like simulates and sweeps: concurrent identical
-    // searches collapse onto one NSGA-II run, repeats replay the memo.
-    match engine::optimize_rendered(&doc, shared.cfg.request_jobs) {
-        Ok(body) => {
-            raw_store(shared, "optimize", req, body.clone());
-            Response::json(200, body.as_ref().to_owned())
-        }
-        Err(e) => engine_error(&e),
-    }
+    memoized(shared, "optimize", req, |doc| {
+        engine::optimize(doc, shared.cfg.request_jobs)
+    })
 }
 
 fn engine_error(e: &EngineError) -> Response {

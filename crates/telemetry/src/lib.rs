@@ -52,6 +52,7 @@ pub mod chrome;
 pub mod event;
 pub mod json;
 pub mod manifest;
+pub mod memo;
 pub mod prom;
 pub mod registry;
 pub mod rolling;

@@ -60,6 +60,11 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Adds `delta` (negative to subtract), atomically.
+    pub fn add(&self, delta: f64) {
+        atomic_f64_update(&self.bits, |v| v + delta);
+    }
+
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))

@@ -148,7 +148,7 @@ fi
 
 if [ "$fast" -eq 0 ]; then
     # Protocol torture suite, on its own so a parser or conformance
-    # break reads as such (the full workspace run below repeats them):
+    # break reads as such (the workspace passes below run them again):
     # split-anywhere/garbage property tests, keep-alive + pipelining
     # conformance, slow-client eviction, and coalescing determinism.
     echo "==> protocol torture suite (http_props + serve + coalesce)"
@@ -157,21 +157,14 @@ if [ "$fast" -eq 0 ]; then
 fi
 
 if [ "$fast" -eq 0 ]; then
-    # Two passes pin the determinism contract of accordion-pool: the
-    # suite (golden snapshots included) must pass with the sequential
+    # Two passes pin the determinism contract of accordion-pool: every
+    # test in the workspace (golden snapshots, crate unit tests and the
+    # per-crate property suites included) must pass with the sequential
     # path and with a saturated worker pool producing identical bytes.
-    echo "==> ACCORDION_JOBS=1 cargo test -q"
-    ACCORDION_JOBS=1 cargo test -q
-    echo "==> ACCORDION_JOBS=8 cargo test -q"
-    ACCORDION_JOBS=8 cargo test -q
-
-    # Third pass with the SSE2 columnar kernels: the `simd` feature
-    # must be drop-in — same artifacts, same bytes. The golden suite
-    # rerunning green IS the bit-identity proof.
-    echo "==> cargo build --release --workspace --features simd"
-    cargo build --release --workspace --features simd
-    echo "==> cargo test -q --features simd"
-    cargo test -q --features simd
+    echo "==> ACCORDION_JOBS=1 cargo test --workspace -q"
+    ACCORDION_JOBS=1 cargo test --workspace -q
+    echo "==> ACCORDION_JOBS=8 cargo test --workspace -q"
+    ACCORDION_JOBS=8 cargo test --workspace -q
 fi
 
 echo "All checks passed."
