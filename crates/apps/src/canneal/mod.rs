@@ -86,12 +86,24 @@ impl Canneal {
             .map(|t| seed.stream("canneal-thread", t as u64))
             .collect();
 
+        // Per-net HPWL of the current placement. A swap of `a` and `b`
+        // only moves the nets of `a` and `b`, so it is priced as the
+        // sum over `nets_of[a]` then `nets_of[b]` of (new − cached)
+        // HPWL — a net shared by both counts twice, as it does in the
+        // two element costs before and after the swap. Every term is
+        // a small exact integer, so the delta is the same number the
+        // full before/after element-cost sums give.
+        let mut hpwl: Vec<usize> = (0..netlist.nets.len())
+            .map(|i| netlist.net_hpwl_units(&placement, i))
+            .collect();
+        let mut fresh: Vec<usize> = Vec::new();
+
         let mut temperature = self.t_initial;
         for _step in 0..self.temp_steps {
             // Threads interleave swap attempts round-robin on the
             // shared placement; a deterministic serialization of the
             // lock-based parallel algorithm.
-            for s in 0..swaps {
+            for _ in 0..swaps {
                 for t in 0..cfg.threads {
                     let rng = &mut thread_rngs[t];
                     // Draw the candidate pair regardless of drop so the
@@ -99,7 +111,6 @@ impl Canneal {
                     let a = rng.random_range(0..n);
                     let b = rng.random_range(0..n);
                     let u: f64 = rng.random();
-                    let _ = s;
                     if a == b {
                         continue;
                     }
@@ -107,17 +118,25 @@ impl Canneal {
                     if misbehaves && mode == CannealErrorMode::DropSwaps {
                         continue; // swap() prevented
                     }
-                    let before =
-                        netlist.element_cost(&placement, a) + netlist.element_cost(&placement, b);
                     placement.swap(a, b);
-                    let after =
-                        netlist.element_cost(&placement, a) + netlist.element_cost(&placement, b);
-                    let delta = after - before;
+                    let touched = netlist.nets_of[a].iter().chain(&netlist.nets_of[b]);
+                    fresh.clear();
+                    let mut delta = 0i64;
+                    for &i in touched.clone() {
+                        let h = netlist.net_hpwl_units(&placement, i);
+                        delta += h as i64 - hpwl[i] as i64;
+                        fresh.push(h);
+                    }
+                    let delta = delta as f64;
                     let mut accept = delta < 0.0 || u < (-delta / temperature.max(1e-12)).exp();
                     if misbehaves && mode == CannealErrorMode::InvertDecision {
                         accept = !accept;
                     }
-                    if !accept {
+                    if accept {
+                        for (&i, &h) in touched.zip(&fresh) {
+                            hpwl[i] = h;
+                        }
+                    } else {
                         placement.swap(a, b); // undo
                     }
                 }
@@ -205,6 +224,97 @@ mod tests {
 
     fn app() -> Canneal {
         Canneal::paper_default()
+    }
+
+    /// The full-recompute annealer: prices every swap as the element
+    /// costs of `a` and `b` after the swap minus before it. The oracle
+    /// for the incremental per-net pricing of `run_with_error_mode`.
+    fn full_recompute_run(
+        app: &Canneal,
+        swaps_per_temp: f64,
+        cfg: &RunConfig,
+        mode: CannealErrorMode,
+        infected: &[bool],
+    ) -> Vec<f64> {
+        let netlist = app.build_netlist(cfg);
+        let mut placement = netlist.initial_placement();
+        let n = netlist.len();
+        let swaps = swaps_per_temp.max(0.0).round() as usize;
+        let seed = cfg.seed_stream();
+        let mut thread_rngs: Vec<StreamRng> = (0..cfg.threads)
+            .map(|t| seed.stream("canneal-thread", t as u64))
+            .collect();
+        let mut temperature = app.t_initial;
+        for _step in 0..app.temp_steps {
+            for _ in 0..swaps {
+                for t in 0..cfg.threads {
+                    let rng = &mut thread_rngs[t];
+                    let a = rng.random_range(0..n);
+                    let b = rng.random_range(0..n);
+                    let u: f64 = rng.random();
+                    if a == b {
+                        continue;
+                    }
+                    let misbehaves = infected[t];
+                    if misbehaves && mode == CannealErrorMode::DropSwaps {
+                        continue;
+                    }
+                    let before =
+                        netlist.element_cost(&placement, a) + netlist.element_cost(&placement, b);
+                    placement.swap(a, b);
+                    let after =
+                        netlist.element_cost(&placement, a) + netlist.element_cost(&placement, b);
+                    let delta = after - before;
+                    let mut accept = delta < 0.0 || u < (-delta / temperature.max(1e-12)).exp();
+                    if misbehaves && mode == CannealErrorMode::InvertDecision {
+                        accept = !accept;
+                    }
+                    if !accept {
+                        placement.swap(a, b);
+                    }
+                }
+            }
+            temperature *= app.cooling;
+        }
+        let cost = netlist.routing_cost(&placement);
+        let mut out = Vec::with_capacity(1 + n);
+        out.push(cost);
+        out.extend((0..n).map(|e| placement.location_of(e) as f64));
+        out
+    }
+
+    #[test]
+    fn incremental_pricing_matches_full_recompute() {
+        let a = app();
+        let threads = 16;
+        let masks = [0.0, 0.25, 0.5].map(|f| accordion_sim::fault::uniform_drop_mask(threads, f));
+        let mut cases = Vec::new();
+        for seed in [7, 8, 2014] {
+            for knob in [0.0, 4.0, 24.0, 128.0] {
+                for mask in &masks {
+                    for mode in [
+                        CannealErrorMode::DropSwaps,
+                        CannealErrorMode::InvertDecision,
+                    ] {
+                        cases.push((seed, knob, mask, mode));
+                    }
+                }
+            }
+        }
+        accordion_pool::par_map(cases, |(seed, knob, mask, mode)| {
+            let cfg = RunConfig {
+                seed,
+                ..RunConfig::default_run(threads)
+            };
+            let fast = a.run_with_error_mode(knob, &cfg, mode, mask);
+            let oracle = full_recompute_run(&a, knob, &cfg, mode, mask);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&fast),
+                bits(&oracle),
+                "seed {seed}, knob {knob}, {mode:?}, mask {mask:?}"
+            );
+        });
     }
 
     #[test]

@@ -23,10 +23,11 @@ pub struct Netlist {
     pub nets_of: Vec<Vec<usize>>,
 }
 
-/// A placement: `location_of[e]` is the grid slot of element `e`.
+/// A placement: `xy[e]` holds the grid coordinates of element `e`'s
+/// slot, stored unpacked so HPWL evaluation needs no division.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
-    location_of: Vec<usize>,
+    xy: Vec<(usize, usize)>,
     width: usize,
 }
 
@@ -90,13 +91,17 @@ impl Netlist {
     /// The identity placement (element `e` at slot `e`).
     pub fn initial_placement(&self) -> Placement {
         Placement {
-            location_of: (0..self.len()).collect(),
+            xy: (0..self.len())
+                .map(|slot| (slot % self.width, slot / self.width))
+                .collect(),
             width: self.width,
         }
     }
 
-    /// Half-perimeter wirelength of net `i` under placement `p`.
-    pub fn net_hpwl(&self, p: &Placement, i: usize) -> f64 {
+    /// Half-perimeter wirelength of net `i` under placement `p`, in
+    /// grid units. It is an exact small integer, so sums and
+    /// differences of HPWLs are exact too.
+    pub fn net_hpwl_units(&self, p: &Placement, i: usize) -> usize {
         let mut min_x = usize::MAX;
         let mut max_x = 0;
         let mut min_y = usize::MAX;
@@ -108,7 +113,12 @@ impl Netlist {
             min_y = min_y.min(y);
             max_y = max_y.max(y);
         }
-        ((max_x - min_x) + (max_y - min_y)) as f64
+        (max_x - min_x) + (max_y - min_y)
+    }
+
+    /// Half-perimeter wirelength of net `i` under placement `p`.
+    pub fn net_hpwl(&self, p: &Placement, i: usize) -> f64 {
+        self.net_hpwl_units(p, i) as f64
     }
 
     /// Total routing cost of a placement: the sum of HPWL over nets.
@@ -118,7 +128,8 @@ impl Netlist {
 
     /// Cost contribution of element `e`: the HPWL of every net it
     /// belongs to (the quantity a swap of `e` can change).
-    pub fn element_cost(&self, p: &Placement, e: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn element_cost(&self, p: &Placement, e: usize) -> f64 {
         self.nets_of[e].iter().map(|&i| self.net_hpwl(p, i)).sum()
     }
 }
@@ -126,8 +137,7 @@ impl Netlist {
 impl Placement {
     /// Grid coordinates of element `e`'s slot.
     pub fn xy_of(&self, e: usize) -> (usize, usize) {
-        let slot = self.location_of[e];
-        (slot % self.width, slot / self.width)
+        self.xy[e]
     }
 
     /// Manhattan distance between the slots of elements `a` and `b`.
@@ -139,12 +149,13 @@ impl Placement {
 
     /// Swaps the locations of elements `a` and `b`.
     pub fn swap(&mut self, a: usize, b: usize) {
-        self.location_of.swap(a, b);
+        self.xy.swap(a, b);
     }
 
     /// Location slot of element `e`.
     pub fn location_of(&self, e: usize) -> usize {
-        self.location_of[e]
+        let (x, y) = self.xy[e];
+        y * self.width + x
     }
 }
 

@@ -9,7 +9,7 @@
 //! sweep.
 
 use crate::app::RmsApp;
-use crate::config::RunConfig;
+use crate::harness::{FrontSet, Scenario};
 use accordion_stats::fit::{line_fit, power_fit};
 
 /// Dependence type of a quantity on the Accordion input.
@@ -70,20 +70,25 @@ fn classify_quality(r2: f64) -> Dependence {
 }
 
 /// Characterizes one benchmark over its knob sweep.
+///
+/// Runs no kernels: the knobs and raw qualities are those of the
+/// `Default` front of [`FrontSet::measured`], which runs the same
+/// error-free sweep against the same hyper-accurate reference.
 pub fn characterize(app: &dyn RmsApp) -> CharacterizationRow {
-    let threads = app.profile_threads();
-    let reference = app.run(app.hyper_knob(), &RunConfig::default_run(threads));
-    let cfg = RunConfig::default_run(threads);
-
-    let knobs = app.knob_sweep();
+    let set = FrontSet::measured(app);
+    let front = set
+        .front(Scenario::Default)
+        .expect("measured sets hold the Default front");
+    let knobs: Vec<f64> = front.points.iter().map(|p| p.knob).collect();
     let sizes: Vec<f64> = knobs.iter().map(|&k| app.problem_size(k)).collect();
-    let quality: Vec<f64> = knobs
-        .iter()
-        .map(|&k| app.quality(&app.run(k, &cfg), &reference))
-        .collect();
+    let quality: Vec<f64> = front.points.iter().map(|p| p.quality).collect();
+    row(app, &knobs, &sizes, &quality)
+}
 
-    let size_exponent = power_fit(&knobs, &sizes).slope;
-    let quality_r2 = line_fit(&knobs, &quality).r_squared;
+/// Fits and classifies one benchmark's sweep.
+fn row(app: &dyn RmsApp, knobs: &[f64], sizes: &[f64], quality: &[f64]) -> CharacterizationRow {
+    let size_exponent = power_fit(knobs, sizes).slope;
+    let quality_r2 = line_fit(knobs, quality).r_squared;
     CharacterizationRow {
         app: app.name().to_string(),
         knob: app.knob_name().to_string(),
@@ -95,12 +100,9 @@ pub fn characterize(app: &dyn RmsApp) -> CharacterizationRow {
 }
 
 /// Characterizes every registered benchmark (the Table 3
-/// reproduction).
+/// reproduction), measuring their fronts in parallel on a cold cache.
 pub fn characterize_all() -> Vec<CharacterizationRow> {
-    crate::all_apps()
-        .iter()
-        .map(|a| characterize(a.as_ref()))
-        .collect()
+    accordion_pool::par_map(crate::all_apps(), |a| characterize(a.as_ref()))
 }
 
 #[cfg(test)]
@@ -127,6 +129,41 @@ mod tests {
         // Table 3 marks x264's problem-size dependence complex.
         let row = characterize(&X264::paper_default());
         assert_eq!(row.size_dependence, Dependence::Complex, "{row:?}");
+    }
+
+    /// The direct-kernel characterization: its own reference run and
+    /// an error-free run per sweep knob.
+    fn characterize_direct(app: &dyn RmsApp) -> CharacterizationRow {
+        let cfg = crate::config::RunConfig::default_run(app.profile_threads());
+        let reference = app.run(app.hyper_knob(), &cfg);
+        let knobs = app.knob_sweep();
+        let sizes: Vec<f64> = knobs.iter().map(|&k| app.problem_size(k)).collect();
+        let quality: Vec<f64> = knobs
+            .iter()
+            .map(|&k| app.quality(&app.run(k, &cfg), &reference))
+            .collect();
+        row(app, &knobs, &sizes, &quality)
+    }
+
+    #[test]
+    fn fronts_derived_rows_equal_direct_kernel_rows() {
+        for (fronts, direct) in accordion_pool::par_map(crate::all_apps(), |a| {
+            (characterize(a.as_ref()), characterize_direct(a.as_ref()))
+        }) {
+            assert_eq!(
+                fronts.size_exponent.to_bits(),
+                direct.size_exponent.to_bits(),
+                "{}",
+                direct.app
+            );
+            assert_eq!(
+                fronts.quality_r2.to_bits(),
+                direct.quality_r2.to_bits(),
+                "{}",
+                direct.app
+            );
+            assert_eq!(fronts, direct);
+        }
     }
 
     #[test]

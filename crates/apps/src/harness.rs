@@ -50,6 +50,8 @@ pub struct FrontPoint {
     pub knob: f64,
     /// Problem size normalized to the default input's.
     pub size_norm: f64,
+    /// Raw quality against the hyper-accurate reference output.
+    pub quality: f64,
     /// Quality normalized to the default input's error-free quality.
     pub quality_norm: f64,
 }
@@ -88,6 +90,12 @@ pub struct FrontSet {
     pub app: String,
     /// One front per scenario, in [`Scenario::PAPER`] order.
     pub fronts: Vec<QualityFront>,
+    /// Output of the hyper-accurate run every quality is measured
+    /// against (an error-free run at [`RmsApp::hyper_knob`]).
+    pub reference: Arc<Vec<f64>>,
+    /// Raw quality of the error-free default-input run, floored at
+    /// 1e-9: the divisor of every `quality_norm`.
+    pub q_default: f64,
 }
 
 impl FrontSet {
@@ -103,12 +111,14 @@ impl FrontSet {
 
     /// [`Self::measure`], served from a process-wide cache keyed by
     /// benchmark name (`apps.front_cache.*` in the registry). Front
-    /// measurement runs the real kernels — seconds of work that
-    /// dominates multi-artifact runs when repeated — and is a pure
-    /// function of the app (the kernels are internally seeded), so
-    /// every caller can share one measurement. Distinct benchmarks
-    /// measure concurrently; callers for one benchmark wait on one
-    /// measurement.
+    /// measurement runs the real kernels — 2 + 3 × sweep-length runs,
+    /// tens to hundreds of milliseconds per benchmark and the bulk of
+    /// every figure and table that reads quality — and is
+    /// a pure function of the app (the kernels are internally seeded),
+    /// so every caller can share one measurement. Distinct benchmarks
+    /// measure concurrently; concurrent callers for one benchmark wait
+    /// on one measurement, whose kernel runs fan out over a nested
+    /// [`accordion_pool`] map of their own.
     pub fn measured(app: &dyn RmsApp) -> Arc<Self> {
         // Room for every benchmark the suite ships, with headroom.
         static FRONTS: LazyLock<Memo<&'static str, FrontSet>> =
@@ -117,40 +127,55 @@ impl FrontSet {
     }
 
     /// Measures an explicit scenario list.
+    ///
+    /// The reference and default runs go first as one 2-task pool map,
+    /// then every scenario × knob run as one more. Each task reduces
+    /// its output to the problem size and raw quality scalars, so at
+    /// most one kernel output per worker is alive beside the reference.
     pub fn measure_scenarios(app: &dyn RmsApp, scenarios: &[Scenario]) -> Self {
         let threads = app.profile_threads();
-        let reference = app.run(app.hyper_knob(), &RunConfig::default_run(threads));
-        let default_out = app.run(app.default_knob(), &RunConfig::default_run(threads));
+        let clean = RunConfig::default_run(threads);
+        let mut base = accordion_pool::par_map(vec![app.hyper_knob(), app.default_knob()], |k| {
+            app.run(k, &clean)
+        });
+        let default_out = base.pop().expect("default run");
+        let reference = base.pop().expect("reference run");
         let q_default = app.quality(&default_out, &reference).max(1e-9);
+        drop(default_out);
         let size_default = app.problem_size(app.default_knob());
+
+        let knobs = app.knob_sweep();
+        let configs: Vec<RunConfig> = scenarios.iter().map(|s| s.config(threads)).collect();
+        let measured = accordion_pool::par_map_indexed(scenarios.len() * knobs.len(), |i| {
+            let knob = knobs[i % knobs.len()];
+            let out = app.run(knob, &configs[i / knobs.len()]);
+            (app.problem_size(knob), app.quality(&out, &reference))
+        });
 
         let fronts = scenarios
             .iter()
-            .map(|&scenario| {
-                let cfg = scenario.config(threads);
-                let points = app
-                    .knob_sweep()
+            .zip(measured.chunks(knobs.len()))
+            .map(|(&scenario, measured)| QualityFront {
+                app: app.name().to_string(),
+                scenario,
+                points: knobs
                     .iter()
-                    .map(|&knob| {
-                        let out = app.run(knob, &cfg);
-                        FrontPoint {
-                            knob,
-                            size_norm: app.problem_size(knob) / size_default,
-                            quality_norm: app.quality(&out, &reference) / q_default,
-                        }
+                    .zip(measured)
+                    .map(|(&knob, &(size, quality))| FrontPoint {
+                        knob,
+                        size_norm: size / size_default,
+                        quality,
+                        quality_norm: quality / q_default,
                     })
-                    .collect();
-                QualityFront {
-                    app: app.name().to_string(),
-                    scenario,
-                    points,
-                }
+                    .collect(),
             })
             .collect();
 
         Self {
             app: app.name().to_string(),
             fronts,
+            reference: Arc::new(reference),
+            q_default,
         }
     }
 

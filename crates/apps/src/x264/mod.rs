@@ -23,6 +23,8 @@ use crate::config::{thread_range, RunConfig};
 use accordion_sim::fault::CorruptionMode;
 use accordion_sim::workload::Workload;
 use accordion_stats::metrics::ssim;
+use accordion_telemetry::memo::Memo;
+use std::sync::LazyLock;
 use transform::{dct2, dequantize, idct2, quantize};
 
 const MB: usize = 8;
@@ -212,7 +214,14 @@ impl RmsApp for X264 {
         // coarse quantizers (the floor) and steepens at fine ones.
         const MB_BASE_WORK: f64 = 64.0;
         const COEF_WORK: f64 = 16.0;
-        let (_, nz) = self.encode(knob, &RunConfig::default_run(1));
+        // Each count costs a full encode, and sweeps, front
+        // normalization and knob searches ask for the same knobs
+        // again, so counts are memoized per (clip, knob).
+        static NONZEROS: LazyLock<Memo<(usize, usize, u64), usize>> =
+            LazyLock::new(|| Memo::new("apps.x264_size_cache", 128));
+        let nz = *NONZEROS.get_or_insert_with((self.side, self.frames, knob.to_bits()), || {
+            self.encode(knob, &RunConfig::default_run(1)).1
+        });
         let mbs_total = (self.frames * self.macroblocks_per_frame()) as f64;
         mbs_total * MB_BASE_WORK + nz as f64 * COEF_WORK
     }

@@ -14,34 +14,40 @@ use accordion_apps::config::RunConfig;
 use accordion_apps::hotspot::Hotspot;
 use accordion_sim::fault::{uniform_drop_mask, CorruptionMode};
 
-/// Quality of canneal under an error mode at an infected fraction,
-/// relative to the error-free run at the same knob.
-pub fn canneal_quality_under(mode: CannealErrorMode, fraction: f64) -> f64 {
+/// The canneal decision-inversion experiment rows:
+/// `(fraction, drop_quality, inversion_quality)`, each quality relative
+/// to the error-free run at the same knob. The clean run and the four
+/// (fraction, mode) runs execute once each, in parallel.
+pub fn canneal_rows() -> Vec<(f64, f64, f64)> {
+    use CannealErrorMode::{DropSwaps, InvertDecision};
     let app = Canneal::paper_default();
     let threads = 64;
     let cfg = RunConfig::default_run(threads);
     let knob = app.default_knob();
-    let clean = app.run_with_error_mode(
-        knob,
-        &cfg,
-        CannealErrorMode::DropSwaps,
-        &vec![false; threads],
-    );
-    let infected = uniform_drop_mask(threads, fraction);
-    let bad = app.run_with_error_mode(knob, &cfg, mode, &infected);
-    app.quality(&bad, &clean)
-}
-
-/// The canneal decision-inversion experiment rows:
-/// `(fraction, drop_quality, inversion_quality)`.
-pub fn canneal_rows() -> Vec<(f64, f64, f64)> {
-    accordion_pool::par_map(vec![0.25, 0.5], |fr| {
-        (
-            fr,
-            canneal_quality_under(CannealErrorMode::DropSwaps, fr),
-            canneal_quality_under(CannealErrorMode::InvertDecision, fr),
-        )
-    })
+    // The clean run (nothing infected), then Drop and inversion at
+    // each fraction.
+    let cells = vec![
+        (DropSwaps, 0.0),
+        (DropSwaps, 0.25),
+        (InvertDecision, 0.25),
+        (DropSwaps, 0.5),
+        (InvertDecision, 0.5),
+    ];
+    let runs = accordion_pool::par_map(cells, |(mode, fraction)| {
+        app.run_with_error_mode(knob, &cfg, mode, &uniform_drop_mask(threads, fraction))
+    });
+    let clean = &runs[0];
+    [0.25, 0.5]
+        .into_iter()
+        .zip(runs[1..].chunks(2))
+        .map(|(fr, pair)| {
+            (
+                fr,
+                app.quality(&pair[0], clean),
+                app.quality(&pair[1], clean),
+            )
+        })
+        .collect()
 }
 
 /// Generic end-result corruption sweep on hotspot: quality relative to

@@ -402,7 +402,7 @@ pub fn validate_report() -> String {
             },
             1.0,
         )?;
-        let v = validate_point(app.as_ref(), &quality, &point, 2014);
+        let v = validate_point(app.as_ref(), &set, &quality, &point, 2014);
         Some([
             app.name().to_string(),
             f(v.estimated_quality),

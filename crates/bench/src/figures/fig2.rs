@@ -10,13 +10,14 @@ use accordion_apps::app::{all_apps, RmsApp};
 use accordion_apps::harness::FrontSet;
 
 /// Measures the front sets for a named subset of benchmarks, served
-/// from the process-wide [`FrontSet::measured`] cache.
+/// from the process-wide [`FrontSet::measured`] cache; the benchmarks
+/// measure in parallel.
 pub fn front_sets(names: &[&str]) -> Vec<FrontSet> {
-    all_apps()
-        .iter()
+    let apps = all_apps()
+        .into_iter()
         .filter(|a| names.contains(&a.name()))
-        .map(|a| FrontSet::measured(a.as_ref()).as_ref().clone())
-        .collect()
+        .collect();
+    accordion_pool::par_map(apps, |a| FrontSet::measured(a.as_ref()).as_ref().clone())
 }
 
 /// Measures the Figure 2 benchmarks (canneal, hotspot).

@@ -18,7 +18,7 @@ use crate::pareto::ParetoPoint;
 use crate::quality::QualityModel;
 use accordion_apps::app::RmsApp;
 use accordion_apps::config::RunConfig;
-use accordion_apps::harness::Scenario;
+use accordion_apps::harness::{FrontSet, Scenario};
 use accordion_sim::ccdc::{run_round, CcDcConfig, DcOutcome};
 use accordion_sim::exec::ExecModel;
 use accordion_stats::rng::SeedStream;
@@ -49,11 +49,17 @@ impl PointValidation {
 /// Validates a speculative `point` of `app` by protocol simulation +
 /// real kernel execution.
 ///
+/// `fronts` is `app`'s measured front set: its hyper-accurate
+/// reference output and default-input quality normalize the measured
+/// quality exactly as the fronts were normalized, so only the
+/// protocol-driven kernel run executes here.
+///
 /// # Panics
 ///
 /// Panics if the point carries no error rate (a Safe point).
 pub fn validate_point(
     app: &dyn RmsApp,
+    fronts: &FrontSet,
     quality: &QualityModel,
     point: &ParetoPoint,
     seed: u64,
@@ -129,11 +135,8 @@ pub fn validate_point(
     // computed exactly as the fronts were: against the hyper-accurate
     // reference, normalized to the default-input error-free quality.
     let knob = knob_for_size(app, point.size_norm);
-    let reference = app.run(app.hyper_knob(), &RunConfig::default_run(threads));
-    let default_out = app.run(app.default_knob(), &RunConfig::default_run(threads));
-    let q_default = app.quality(&default_out, &reference).max(1e-9);
     let out = app.run(knob, &run_cfg);
-    let measured_quality = app.quality(&out, &reference) / q_default;
+    let measured_quality = app.quality(&out, &fronts.reference) / fronts.q_default;
 
     PointValidation {
         estimated_quality: quality.quality_speculative(point.size_norm),
@@ -149,15 +152,21 @@ pub fn validate_point(
 fn knob_for_size(app: &dyn RmsApp, size_norm: f64) -> f64 {
     let target = size_norm * app.problem_size(app.default_knob());
     // Search the sweep plus a dense interpolation between neighbours.
+    // A problem size can cost a kernel run (x264 counts retained
+    // coefficients), so the candidates are sized in parallel and then
+    // scanned in order: the first closest knob wins.
     let sweep = app.knob_sweep();
+    let candidates: Vec<f64> = sweep
+        .windows(2)
+        .flat_map(|w| (0..=8).map(move |step| w[0] + (w[1] - w[0]) * step as f64 / 8.0))
+        .collect();
+    let sizes =
+        accordion_pool::par_map_indexed(candidates.len(), |i| app.problem_size(candidates[i]));
     let mut best = (f64::INFINITY, app.default_knob());
-    for w in sweep.windows(2) {
-        for step in 0..=8 {
-            let k = w[0] + (w[1] - w[0]) * step as f64 / 8.0;
-            let err = (app.problem_size(k) - target).abs();
-            if err < best.0 {
-                best = (err, k);
-            }
+    for (&k, size) in candidates.iter().zip(sizes) {
+        let err = (size - target).abs();
+        if err < best.0 {
+            best = (err, k);
         }
     }
     best.1
@@ -168,13 +177,13 @@ mod tests {
     use super::*;
     use crate::mode::{FrequencyPolicy, Mode, ProblemScaling};
     use crate::pareto::ParetoExtractor;
-    use accordion_apps::harness::FrontSet;
     use accordion_apps::hotspot::Hotspot;
     use accordion_chip::chip::Chip;
-    use std::sync::OnceLock;
+    use std::sync::{Arc, OnceLock};
 
     struct Fx {
         app: Hotspot,
+        set: FrontSet,
         quality: QualityModel,
         point: ParetoPoint,
     }
@@ -198,6 +207,7 @@ mod tests {
                 .expect("speculative Still point");
             Fx {
                 app,
+                set,
                 quality,
                 point,
             }
@@ -206,7 +216,7 @@ mod tests {
 
     #[test]
     fn protocol_produces_the_targeted_error_level() {
-        let v = validate_point(&fx().app, &fx().quality, &fx().point, 7);
+        let v = validate_point(&fx().app, &fx().set, &fx().quality, &fx().point, 7);
         let total_affected = v.dropped_fraction + v.infected_fraction;
         let target = match fx().quality.speculative_scenario() {
             Scenario::Drop(f) => f,
@@ -224,7 +234,7 @@ mod tests {
         // the measured end-to-end quality — it models hangs as Drop
         // and ignores corrupted-termination, which the paper argues
         // (and our corruption sweep confirms) behaves no better.
-        let v = validate_point(&fx().app, &fx().quality, &fx().point, 11);
+        let v = validate_point(&fx().app, &fx().set, &fx().quality, &fx().point, 11);
         assert!(
             v.estimation_error() < 0.25,
             "estimate {} vs measured {}",
@@ -235,9 +245,32 @@ mod tests {
 
     #[test]
     fn validation_is_reproducible() {
-        let a = validate_point(&fx().app, &fx().quality, &fx().point, 3);
-        let b = validate_point(&fx().app, &fx().quality, &fx().point, 3);
+        let a = validate_point(&fx().app, &fx().set, &fx().quality, &fx().point, 3);
+        let b = validate_point(&fx().app, &fx().set, &fx().quality, &fx().point, 3);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fronts_fed_validation_equals_rerunning_the_references() {
+        let app = &fx().app;
+        let clean = RunConfig::default_run(app.profile_threads());
+        let reference = app.run(app.hyper_knob(), &clean);
+        let default_out = app.run(app.default_knob(), &clean);
+        let q_default = app.quality(&default_out, &reference).max(1e-9);
+        let rerun_set = FrontSet {
+            reference: Arc::new(reference),
+            q_default,
+            ..fx().set.clone()
+        };
+        for seed in [3, 7, 2014] {
+            let fed = validate_point(app, &fx().set, &fx().quality, &fx().point, seed);
+            let rerun = validate_point(app, &rerun_set, &fx().quality, &fx().point, seed);
+            assert_eq!(
+                fed.measured_quality.to_bits(),
+                rerun.measured_quality.to_bits()
+            );
+            assert_eq!(fed, rerun);
+        }
     }
 
     #[test]
@@ -253,6 +286,6 @@ mod tests {
     fn safe_points_rejected() {
         let mut p = fx().point.clone();
         p.perr = 0.0;
-        validate_point(&fx().app, &fx().quality, &p, 0);
+        validate_point(&fx().app, &fx().set, &fx().quality, &p, 0);
     }
 }

@@ -35,7 +35,7 @@ for arg in "$@"; do
         *) out="$arg" ;;
     esac
 done
-out="${out:-BENCH_PR10.json}"
+out="${out:-BENCH_PR13.json}"
 
 baseline="${ACCORDION_BENCH_BASELINE:-}"
 if [ -z "$baseline" ]; then
@@ -62,8 +62,8 @@ if [ "$dryrun" -eq 1 ]; then
     fresh="$(medians_of "$baseline" \
         | awk -v s="$inject" '{ printf "%s %.1f %.1f\n", $1, $2 * s, $2 * s }')"
 else
-    echo "==> cargo bench -p accordion-bench --bench sparse --bench telemetry --bench serve --bench sweep"
-    raw="$(cargo bench -p accordion-bench --bench sparse --bench telemetry --bench serve --bench sweep 2>&1 \
+    echo "==> cargo bench -p accordion-bench --bench sparse --bench telemetry --bench serve --bench sweep --bench kernels"
+    raw="$(cargo bench -p accordion-bench --bench sparse --bench telemetry --bench serve --bench sweep --bench kernels 2>&1 \
         | grep -E '^bench ')"
     echo "$raw"
 
@@ -276,7 +276,7 @@ if [ "$dryrun" -eq 0 ]; then
 
     {
         echo '{'
-        echo '  "bench": "sparse variation engine + telemetry hot paths + serve latency + columnar sweep engine + ops-plane self-scrape + operating-point optimizer",'
+        echo '  "bench": "sparse variation engine + telemetry hot paths + serve latency + columnar sweep engine + ops-plane self-scrape + operating-point optimizer + RMS kernels",'
         echo '  "plan": { "sites": 612, "phi": 0.1, "range_mm": 2.0 },'
         echo '  "median_ns": {'
         echo "$fresh" | awk '{ pairs[NR] = "    \"" $1 "\": " $3 }
