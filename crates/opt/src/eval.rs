@@ -37,7 +37,7 @@ use accordion_telemetry::counter;
 use accordion_telemetry::memo::Memo;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Timing contexts kept live per evaluator (LRU); large enough for a
 /// bisection's working set, small enough that a long NSGA-II run over
@@ -270,9 +270,23 @@ impl Evaluator {
         total
     }
 
+    /// Every point evaluated so far, in candidate order.
+    #[cfg(test)]
+    pub(crate) fn evaluated(&self) -> Vec<OperatingPoint> {
+        let mut points: Vec<OperatingPoint> = self.memo().values().cloned().collect();
+        points.sort_by_key(|p| p.candidate);
+        points
+    }
+
+    /// The candidate memo. Every update inserts one complete, pure
+    /// value, so a lock poisoned by a panicking holder is recovered.
+    fn memo(&self) -> MutexGuard<'_, HashMap<Candidate, OperatingPoint>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Evaluates one candidate through the memo.
     pub fn point(&self, c: Candidate) -> OperatingPoint {
-        if let Some(hit) = self.memo.lock().expect("memo lock").get(&c) {
+        if let Some(hit) = self.memo().get(&c) {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             counter!("opt.eval_cache.hits").inc();
             return hit.clone();
@@ -280,7 +294,7 @@ impl Evaluator {
         self.evals.fetch_add(1, Ordering::Relaxed);
         counter!("opt.evals").inc();
         let p = self.eval_uncached(c);
-        self.memo.lock().expect("memo lock").insert(c, p.clone());
+        self.memo().insert(c, p.clone());
         p
     }
 
@@ -292,7 +306,7 @@ impl Evaluator {
         // parallel fan-out sees a deterministic work list.
         let mut fresh: Vec<Candidate> = Vec::new();
         {
-            let memo = self.memo.lock().expect("memo lock");
+            let memo = self.memo();
             let mut seen: Vec<Candidate> = Vec::new();
             for &c in cands {
                 if !memo.contains_key(&c) && !seen.contains(&c) {
@@ -309,12 +323,12 @@ impl Evaluator {
         let points =
             accordion_pool::par_map_with(workers, fresh.clone(), |c| self.eval_uncached(c));
         {
-            let mut memo = self.memo.lock().expect("memo lock");
+            let mut memo = self.memo();
             for (c, p) in fresh.iter().zip(points) {
                 memo.insert(*c, p);
             }
         }
-        let memo = self.memo.lock().expect("memo lock");
+        let memo = self.memo();
         cands
             .iter()
             .map(|c| memo.get(c).expect("batch populated the memo").clone())
@@ -397,5 +411,33 @@ mod tests {
         let (_, _, ctx_hits, ctx_misses) = e.stats();
         assert_eq!(ctx_misses, 3, "three distinct supplies derive contexts");
         assert!(ctx_hits > ctx_misses, "adjacent candidates reuse contexts");
+    }
+
+    #[test]
+    fn poisoned_memo_lock_still_serves_correct_points() {
+        let e = Evaluator::new(Topology::small(), 7003, 2, 0, "hotspot").expect("evaluator");
+        let warm = cand(600, 2, 1000, GB_SAFE_CENTI);
+        let expected_warm = e.point(warm);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = e.memo();
+                panic!("poisoning the candidate memo on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(e.memo.is_poisoned());
+        assert_eq!(e.point(warm), expected_warm, "memo hit after poison");
+        let fresh = cand(700, 1, 900, 600);
+        assert_eq!(
+            e.point(fresh),
+            e.eval_uncached(fresh),
+            "memo miss after poison"
+        );
+        let cands: Vec<Candidate> = (0..6u32)
+            .map(|i| cand(500 + i * 40, 1 + i % 2, 1000, GB_SAFE_CENTI))
+            .chain([warm, fresh])
+            .collect();
+        let seq: Vec<OperatingPoint> = cands.iter().map(|&c| e.eval_uncached(c)).collect();
+        assert_eq!(e.batch(&cands, 2), seq);
     }
 }

@@ -14,13 +14,15 @@
 //!   of the last population. Crowding truncation can therefore never
 //!   lose a non-dominated point, and because generation 0 is the
 //!   deterministic scout grid, the final front provably
-//!   dominates-or-ties every point of that grid.
+//!   dominates-or-ties every point of that grid. The front is kept as
+//!   points arrive ([`front_insert`]); a unit test pins it, generation
+//!   by generation, against a brute-force recount of the archive.
 //! * **Constraint domination** (Deb). Feasible beats infeasible;
 //!   infeasible points compare by total violation; feasible points
 //!   compare by Pareto dominance on `[power, time, quality deficit]`.
 //!
-//! The sort/crowding kernels are exported so the property tests can
-//! pit them against a brute-force O(n²) oracle.
+//! The sort/crowding/front kernels are exported so the property tests
+//! can pit them against brute-force O(n²) oracles.
 
 use crate::eval::{Evaluator, OperatingPoint};
 use crate::space::{Candidate, Constraints, KnobSpace};
@@ -299,14 +301,23 @@ fn environmental_select(
     keep.into_iter().map(|i| points[i].clone()).collect()
 }
 
-/// Indices of the archive's non-dominated points (ties kept), in
-/// archive order.
-fn archive_front_indices(archive: &[OperatingPoint], cons: &Constraints) -> Vec<usize> {
-    let objs: Vec<[f64; 3]> = archive.iter().map(OperatingPoint::objectives).collect();
-    let viols: Vec<f64> = archive.iter().map(|p| p.violation(cons)).collect();
-    (0..archive.len())
-        .filter(|&i| (0..archive.len()).all(|j| !dominates(&objs[j], viols[j], &objs[i], viols[i])))
-        .collect()
+/// Inserts one archived point into `front`, the non-dominated set of
+/// every point inserted so far (ties kept): a newcomer dominated by a
+/// member is dropped, otherwise it evicts the members it dominates and
+/// joins. O(front) per point, and exact: constraint domination is a
+/// strict partial order (irreflexive, transitive) on finite values, so
+/// any archive point dominating the newcomer is itself dominated by,
+/// or is, a front member, which then dominates the newcomer too.
+pub fn front_insert<T>(front: &mut Vec<(T, [f64; 3], f64)>, item: T, objs: [f64; 3], viol: f64) {
+    debug_assert!(
+        objs.iter().all(|v| v.is_finite()) && viol.is_finite(),
+        "non-finite objectives break transitivity: {objs:?} / {viol}"
+    );
+    if front.iter().any(|(_, o, v)| dominates(o, *v, &objs, viol)) {
+        return;
+    }
+    front.retain(|(_, o, v)| !dominates(&objs, viol, o, *v));
+    front.push((item, objs, viol));
 }
 
 /// Runs the search: scout grid as generation 0, then
@@ -314,15 +325,11 @@ fn archive_front_indices(archive: &[OperatingPoint], cons: &Constraints) -> Vec<
 /// through `eval`'s memo over `workers` pool threads.
 pub fn optimize(eval: &Evaluator, cfg: &OptConfig, workers: usize) -> OptOutcome {
     let root = SeedStream::new(cfg.seed);
-    let mut archive: Vec<OperatingPoint> = Vec::new();
     let mut archived: std::collections::HashSet<Candidate> = std::collections::HashSet::new();
+    let mut front: Vec<(OperatingPoint, [f64; 3], f64)> = Vec::new();
     let mut gens: Vec<GenStat> = Vec::new();
 
-    let run_generation = |g: u64,
-                          cands: &[Candidate],
-                          archive: &mut Vec<OperatingPoint>,
-                          archived: &mut std::collections::HashSet<Candidate>,
-                          gens: &mut Vec<GenStat>| {
+    let mut run_generation = |g: u64, cands: &[Candidate]| {
         let _span = span!("opt.generation");
         let _track = flight_track!("opt/gen{}", g);
         let (e0, h0, _, _) = eval.stats();
@@ -330,10 +337,11 @@ pub fn optimize(eval: &Evaluator, cfg: &OptConfig, workers: usize) -> OptOutcome
         let (e1, h1, _, _) = eval.stats();
         for p in &points {
             if archived.insert(p.candidate) {
-                archive.push(p.clone());
+                let (objs, viol) = (p.objectives(), p.violation(&cfg.constraints));
+                front_insert(&mut front, p.clone(), objs, viol);
             }
         }
-        let front = archive_front_indices(archive, &cfg.constraints).len() as u64;
+        let front = front.len() as u64;
         counter!("opt.generations").inc();
         gauge!("opt.front_size").set(front as f64);
         flight!(SimEvent::OptGeneration {
@@ -355,7 +363,7 @@ pub fn optimize(eval: &Evaluator, cfg: &OptConfig, workers: usize) -> OptOutcome
     // with the full lattice is what makes the final front
     // dominate-or-tie the equivalent sweep by construction.
     let grid = cfg.space.scout_grid(cfg.scout_steps);
-    let scout_points = run_generation(0, &grid, &mut archive, &mut archived, &mut gens);
+    let scout_points = run_generation(0, &grid);
     let mut pop = environmental_select(scout_points, cfg.population, &cfg.constraints);
 
     for g in 1..=cfg.generations {
@@ -366,21 +374,17 @@ pub fn optimize(eval: &Evaluator, cfg: &OptConfig, workers: usize) -> OptOutcome
         let children: Vec<Candidate> = (0..cfg.population)
             .map(|_| breed(&mut rng, &pop, &ranked, &cfg.space))
             .collect();
-        let child_points =
-            run_generation(g as u64, &children, &mut archive, &mut archived, &mut gens);
         let mut merged = pop;
-        merged.extend(child_points);
+        merged.extend(run_generation(g as u64, &children));
         pop = environmental_select(merged, cfg.population, &cfg.constraints);
     }
 
-    let mut front: Vec<OperatingPoint> = archive_front_indices(&archive, &cfg.constraints)
-        .into_iter()
-        .map(|i| archive[i].clone())
-        .collect();
+    // Candidates are unique in the archive, so this order is total.
+    let mut front: Vec<OperatingPoint> = front.into_iter().map(|(p, _, _)| p).collect();
     front.sort_by_key(|p| p.candidate);
     OptOutcome {
         front,
-        archive_len: archive.len(),
+        archive_len: archived.len(),
         generations: gens,
     }
 }
@@ -408,6 +412,19 @@ pub fn front_dominates_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accordion_chip::topology::Topology;
+
+    /// Indices of the archive's non-dominated points (ties kept), in
+    /// archive order: the all-pairs scan [`front_insert`] replaces.
+    fn archive_front_indices(archive: &[OperatingPoint], cons: &Constraints) -> Vec<usize> {
+        let objs: Vec<[f64; 3]> = archive.iter().map(OperatingPoint::objectives).collect();
+        let viols: Vec<f64> = archive.iter().map(|p| p.violation(cons)).collect();
+        (0..archive.len())
+            .filter(|&i| {
+                (0..archive.len()).all(|j| !dominates(&objs[j], viols[j], &objs[i], viols[i]))
+            })
+            .collect()
+    }
 
     fn point(c: Candidate, power: f64, time: f64, quality: f64) -> OperatingPoint {
         OperatingPoint {
@@ -503,5 +520,51 @@ mod tests {
         assert!(front_dominates_grid(&front, &tied, &cons));
         assert!(front_dominates_grid(&front, &dominated, &cons));
         assert!(!front_dominates_grid(&front, &uncovered, &cons));
+    }
+
+    #[test]
+    fn maintained_front_matches_a_full_archive_recount_every_generation() {
+        const GENERATIONS: usize = 20;
+        let eval = Evaluator::new(Topology::small(), 7200, 2, 0, "hotspot").expect("evaluator");
+        let cfg = |generations| OptConfig {
+            seed: 3,
+            population: 12,
+            generations,
+            scout_steps: 3,
+            space: KnobSpace::full(eval.max_clusters()),
+            constraints: Constraints {
+                quality_floor: Some(0.9),
+                power_budget_w: Some(20.0),
+                time_budget_s: None,
+            },
+        };
+        // Runs share the evaluator and every generation's draws are
+        // labelled by its index, so after the `k`-generation run the
+        // memo holds exactly the archive of generations 0..=k.
+        let mut recounts: Vec<u64> = Vec::new();
+        for k in 0..=GENERATIONS {
+            let out = optimize(&eval, &cfg(k), 2);
+            let archive = eval.evaluated();
+            assert_eq!(out.archive_len, archive.len(), "generation {k}");
+            let brute = archive_front_indices(&archive, &cfg(k).constraints);
+            recounts.push(brute.len() as u64);
+            let mut expected: Vec<OperatingPoint> =
+                brute.into_iter().map(|i| archive[i].clone()).collect();
+            expected.sort_by_key(|p| p.candidate);
+            assert_eq!(out.front, expected, "final front after generation {k}");
+            let fronts: Vec<u64> = out.generations.iter().map(|g| g.front).collect();
+            assert_eq!(fronts, recounts, "front sizes through generation {k}");
+        }
+        let archive = eval.evaluated();
+        assert!(
+            recounts[GENERATIONS] > 10,
+            "a trivial front pins nothing: {recounts:?}"
+        );
+        assert!(
+            archive
+                .iter()
+                .any(|p| p.violation(&cfg(0).constraints) > 0.0),
+            "the archive must exercise constraint domination"
+        );
     }
 }

@@ -164,6 +164,9 @@ fn render(
     let b = eval.baseline();
     let points =
         |pts: &[OperatingPoint]| Json::Arr(pts.iter().map(|p| point_json(p, eval, cfg)).collect());
+    let best = |key: fn(&OperatingPoint) -> f64| {
+        champion(&outcome.front, cfg, key).map_or(Json::Null, |p| point_json(p, eval, cfg))
+    };
     let (evals, memo_hits, _, _) = eval.stats();
     let ratio = if evals + memo_hits > 0 {
         memo_hits as f64 / (evals + memo_hits) as f64
@@ -209,26 +212,10 @@ fn render(
         (
             "best",
             Json::obj(vec![
-                (
-                    "min_power",
-                    champion(&outcome.front, cfg, |p| p.power_w)
-                        .map_or(Json::Null, |p| point_json(p, eval, cfg)),
-                ),
-                (
-                    "min_time",
-                    champion(&outcome.front, cfg, |p| p.time_s)
-                        .map_or(Json::Null, |p| point_json(p, eval, cfg)),
-                ),
-                (
-                    "max_quality",
-                    champion(&outcome.front, cfg, |p| -p.quality)
-                        .map_or(Json::Null, |p| point_json(p, eval, cfg)),
-                ),
-                (
-                    "max_mips_per_w",
-                    champion(&outcome.front, cfg, |p| -p.mips_per_w())
-                        .map_or(Json::Null, |p| point_json(p, eval, cfg)),
-                ),
+                ("min_power", best(|p| p.power_w)),
+                ("min_time", best(|p| p.time_s)),
+                ("max_quality", best(|p| -p.quality)),
+                ("max_mips_per_w", best(|p| -p.mips_per_w())),
             ]),
         ),
         (

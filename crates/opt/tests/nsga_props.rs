@@ -1,10 +1,14 @@
 //! Property-based oracle check for the NSGA-II sorting kernels: over
 //! random objective sets (with random constraint violations), the fast
 //! non-dominated sort must produce exactly the layering a brute-force
-//! O(n²) peeling of the dominance relation produces, and the crowding
-//! distance must keep its boundary/positivity invariants.
+//! O(n²) peeling of the dominance relation produces, the incrementally
+//! kept archive front must equal a brute-force non-dominated filter
+//! after every insertion, and the crowding distance must keep its
+//! boundary/positivity invariants.
 
-use accordion_opt::nsga::{crowding_distance, dominates, fast_nondominated_sort, pareto_dominates};
+use accordion_opt::nsga::{
+    crowding_distance, dominates, fast_nondominated_sort, front_insert, pareto_dominates,
+};
 use proptest::prelude::*;
 
 /// Decodes a flat draw of small integers into `(objectives,
@@ -60,6 +64,24 @@ proptest! {
         let fast = fast_nondominated_sort(&objs, &viols);
         let brute = brute_force_fronts(&objs, &viols);
         prop_assert_eq!(fast, brute);
+    }
+
+    /// After every insertion of a random sequence, the incrementally
+    /// kept front holds exactly the points of the sequence so far that
+    /// no point of it dominates — ties and duplicates included.
+    #[test]
+    fn incremental_front_matches_brute_force(raw in proptest::collection::vec(0u32..6, 4..160)) {
+        let (objs, viols) = decode(&raw);
+        let mut front: Vec<(usize, [f64; 3], f64)> = Vec::new();
+        for n in 0..objs.len() {
+            front_insert(&mut front, n, objs[n], viols[n]);
+            let mut kept: Vec<usize> = front.iter().map(|&(i, _, _)| i).collect();
+            kept.sort_unstable();
+            let brute: Vec<usize> = (0..=n)
+                .filter(|&i| (0..=n).all(|j| !dominates(&objs[j], viols[j], &objs[i], viols[i])))
+                .collect();
+            prop_assert_eq!(kept, brute, "after inserting point {}", n);
+        }
     }
 
     /// Within any front no member dominates another, and every member

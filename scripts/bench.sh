@@ -35,7 +35,7 @@ for arg in "$@"; do
         *) out="$arg" ;;
     esac
 done
-out="${out:-BENCH_PR13.json}"
+out="${out:-BENCH_PR14.json}"
 
 baseline="${ACCORDION_BENCH_BASELINE:-}"
 if [ -z "$baseline" ]; then
@@ -185,17 +185,17 @@ fig7_wall_ns $fig7_wall $fig7_wall"
     # sequential one, must produce byte-identical reports, and the
     # evolved front must dominate (or tie) the equivalent sweep grid
     # (`"dominated": true` from the built-in --grid-check).
-    run_optimize() { # jobs json-out -> evals/s on stdout
+    run_optimize() { # jobs generations json-out -> "evals wall_s evals/s" on stdout
         cargo run --release -q -p accordion-bench --bin repro -- \
-            optimize --chips 3 --population 16 --generations 4 \
-            --grid-check 3 --jobs "$1" --json "$2" 2>&1 > /dev/null \
-            | awk -F'(' '/^optimize:/ { n = split($NF, a, " "); print a[1] }'
+            optimize --chips 3 --population 16 --generations "$2" \
+            --grid-check 3 --jobs "$1" --json "$3" 2>&1 > /dev/null \
+            | awk '/^optimize:/ { print $2, $8, substr($10, 2) }'
     }
     echo "==> repro optimize x3 (opt gate inputs + determinism cross-check)"
     opt_a="$(mktemp)"; opt_b="$(mktemp)"; opt_seq="$(mktemp)"
-    opt_eps_a="$(run_optimize 8 "$opt_a")"
-    opt_eps_b="$(run_optimize 8 "$opt_b")"
-    run_optimize 1 "$opt_seq" > /dev/null
+    read -r opt_n4 opt_t4_a opt_eps_a <<< "$(run_optimize 8 4 "$opt_a")"
+    read -r _ opt_t4_b opt_eps_b <<< "$(run_optimize 8 4 "$opt_b")"
+    run_optimize 1 4 "$opt_seq" > /dev/null
     [ -n "$opt_eps_a" ] && [ -n "$opt_eps_b" ] \
         || { echo "error: optimize summary line missing evals/s" >&2; exit 1; }
     cmp -s "$opt_a" "$opt_b" \
@@ -204,7 +204,6 @@ fig7_wall_ns $fig7_wall $fig7_wall"
         || { echo "FAIL: optimize --jobs 8 vs --jobs 1 reports differ" >&2; exit 1; }
     grep -q '"dominated": true' "$opt_a" \
         || { echo "FAIL: optimizer front does not dominate the equivalent sweep grid" >&2; exit 1; }
-    rm -f "$opt_a" "$opt_b" "$opt_seq"
     # Gate on the faster of the two parallel runs (min, like every
     # other fresh-side input); record the slower as the median.
     opt_wall_min="$(awk -v a="$opt_eps_a" -v b="$opt_eps_b" \
@@ -213,7 +212,57 @@ fig7_wall_ns $fig7_wall $fig7_wall"
         'BEGIN { m = (a > b) ? b : a; printf "%.1f", 1e9 / m }')"
     opt_evals_per_s="$(awk -v w="$opt_wall_med" 'BEGIN { printf "%.1f", 1e9 / w }')"
     echo "    optimize $opt_evals_per_s evals/s (byte-identical across runs and --jobs, front dominates grid)"
+
+    # The 4-generation request is mostly cold start (evaluator binding,
+    # quality fronts, iso curves, grid check), and its archive of a
+    # few hundred points hides any per-generation cost that grows
+    # with the archive. The same request at the served cap of 64
+    # generations splits the wall clock into a marginal cost per
+    # evaluation, (t64 - t4) / (evals64 - evals4), and the cold start
+    # it leaves, t4 - evals4 * marginal. The extra generations cost
+    # tens of ms against a cold start that varies by about as much
+    # from run to run, so the split is taken per (4, 64) pair over
+    # eleven pairs: the median is recorded and, as everywhere, the
+    # min is the gate input. On a shared 2-vCPU host the per-pair
+    # marginal spreads over tens of us around a median of about
+    # 35-40 us, so the min gate catches only a large step (an
+    # O(archive^2) front rescan per generation put the median near
+    # 100 us there); the median is the number to compare across
+    # runs. The reports of every 4- and every 64-generation run must
+    # be byte-identical too.
+    echo "==> repro optimize --generations 4 / 64, 11 pairs (marginal/cold-start split)"
+    opt_pairs=""
+    opt_64="$(mktemp)"
+    for i in $(seq 1 11); do
+        read -r _ opt_t4 _ <<< "$(run_optimize 8 4 "$opt_b")"
+        cmp -s "$opt_a" "$opt_b" \
+            || { echo "FAIL: repeated fixed-seed optimize runs differ" >&2; exit 1; }
+        read -r opt_n64 opt_t64 _ <<< "$(run_optimize 8 64 "$opt_b")"
+        [ -n "$opt_t4" ] && [ -n "$opt_t64" ] \
+            || { echo "error: optimize summary line missing evals/wall" >&2; exit 1; }
+        if [ "$i" -eq 1 ]; then cp "$opt_b" "$opt_64"; fi
+        cmp -s "$opt_64" "$opt_b" \
+            || { echo "FAIL: repeated 64-generation optimize runs differ" >&2; exit 1; }
+        opt_pairs="$opt_pairs$opt_t4 $opt_t64
+"
+    done
+    rm -f "$opt_a" "$opt_b" "$opt_seq" "$opt_64"
+    [ "$opt_n64" -gt "$opt_n4" ] \
+        || { echo "error: 64 generations evaluated no more than 4" >&2; exit 1; }
+    split_opt() { # column (1 marginal, 2 cold start) -> "min_ns median_ns"
+        printf '%s' "$opt_pairs" \
+            | awk -v n4="$opt_n4" -v n64="$opt_n64" -v col="$1" '{
+                m = ($2 - $1) / (n64 - n4)
+                printf "%.1f\n", (col == 1 ? m : $1 - n4 * m) * 1e9
+            }' \
+            | sort -g | awk '{ v[NR] = $1 } END { print v[1], v[int((NR + 1) / 2)] }'
+    }
+    read -r opt_marg_min opt_marg_med <<< "$(split_opt 1)"
+    read -r opt_cold_min opt_cold_med <<< "$(split_opt 2)"
+    echo "    $opt_n4 -> $opt_n64 evals: marginal $opt_marg_med ns/eval, cold start $(awk -v n="$opt_cold_med" 'BEGIN { printf "%.0f", n / 1e6 }') ms (medians of 11 pairs)"
     fresh="$fresh
+opt_marginal_eval_ns $opt_marg_min $opt_marg_med
+opt_cold_start_ns $opt_cold_min $opt_cold_med
 opt_eval_wall_ns $opt_wall_min $opt_wall_med"
 fi
 
